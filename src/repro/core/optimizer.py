@@ -163,6 +163,10 @@ class Optimizer:
 
     def _optimize(self, graph: QueryGraph) -> OptimizationResult:
         started = time.perf_counter()
+        # Estimates are memoized for one optimization: a model reused
+        # across optimizations must not keep every earlier candidate
+        # plan alive, nor answer from before a schema change.
+        self.cost_model.estimator.forget()
         trace: List[str] = []
         with self._tracer.span("rewrite") as rewrite_span:
             if self.config.fold_nonrecursive_views:

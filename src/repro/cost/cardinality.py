@@ -99,6 +99,15 @@ class NodeEstimate:
     stream_vars: frozenset = frozenset()
 
 
+def _env_key(env: Dict[str, Tuple[float, TupleShape]]) -> tuple:
+    """Hashable view of a ``delta_env``: everything an estimate reads
+    from it (each name's delta size and tuple shape)."""
+    return tuple(
+        (name, tuples, tuple(shape.fields.items()), shape.invariant_satisfied)
+        for name, (tuples, shape) in env.items()
+    )
+
+
 class CardinalityEstimator:
     """Estimates node output cardinalities over a physical schema."""
 
@@ -108,6 +117,10 @@ class CardinalityEstimator:
         self.physical = physical
         self.params = params or CostParameters()
         self.stats = physical.statistics
+        #: Estimates made so far: ``(id(node), env key)`` -> (node,
+        #: estimate).  Holding the node keeps its ``id`` from being
+        #: reused by another node while the entry lives.
+        self._memo: Dict[Tuple[int, tuple], Tuple[PlanNode, NodeEstimate]] = {}
 
     # -- entry point ------------------------------------------------------------
 
@@ -118,8 +131,30 @@ class CardinalityEstimator:
     ) -> NodeEstimate:
         """Estimate a node's output cardinality, page count and
         variable bindings; ``delta_env`` supplies RecLeaf sizes when
-        estimating inside a fixpoint body."""
+        estimating inside a fixpoint body.
+
+        Each ``(node, delta_env)`` pair is estimated once per estimator
+        (see :meth:`forget`): later calls return the same
+        :class:`NodeEstimate`, which callers must treat as read-only.
+        The key is the node's identity, not its canonical fingerprint:
+        ``varmap`` is keyed by the node's own variable names, so two
+        alpha-equivalent subtrees do not share an estimate."""
         env = delta_env or {}
+        key = (id(node), _env_key(env))
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] is node:
+            return hit[1]
+        result = self._estimate(node, env)
+        self._memo[key] = (node, result)
+        return result
+
+    def forget(self) -> None:
+        """Drop every memoized estimate (and the plan nodes it holds)."""
+        self._memo.clear()
+
+    def _estimate(
+        self, node: PlanNode, env: Dict[str, Tuple[float, TupleShape]]
+    ) -> NodeEstimate:
         if isinstance(node, (EntityLeaf, TempLeaf)):
             return self._estimate_leaf(node)
         if isinstance(node, RecLeaf):

@@ -665,8 +665,8 @@ class DetailedCostModel:
         from repro.engine.fixpoint import partition_parts
 
         base_parts, recursive_parts = partition_parts(node)
-        fix_est = self.estimator.estimate_fix(node, env)
-        shape = self.estimator._fix_shape(node, env)
+        fix_est = self.estimator.estimate(node, env)
+        shape = fix_est.varmap[node.out_var]
         body_shape = TupleShape(
             dict(shape.fields), frozenset(node.invariant_fields)
         )

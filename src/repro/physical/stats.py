@@ -92,13 +92,19 @@ class Statistics:
     def __init__(self, store: ObjectStore) -> None:
         self._store = store
         self._entities: Dict[str, EntityStatistics] = {}
+        # Values derived from the store, computed on first use and kept
+        # until the next refresh, like the per-extent statistics.
         self._chain_depth_cache: Dict[Tuple[str, str], List[int]] = {}
+        self._chain_survivor_cache: Dict[Tuple[str, str], List[int]] = {}
+        self._clustered_cache: Dict[Tuple[str, str], float] = {}
         self.refresh()
 
     def refresh(self) -> None:
         """Recollect statistics for every extent."""
         self._entities.clear()
         self._chain_depth_cache.clear()
+        self._chain_survivor_cache.clear()
+        self._clustered_cache.clear()
         weights = self._reference_weights()
         for name in self._store.extent_names():
             self._entities[name] = self._collect(name, weights)
@@ -215,6 +221,14 @@ class Statistics:
         """Fraction of ``owner.attribute`` references whose target sits on
         the owner's own page — the clustering payoff ``access_cost(Ci, Cj)``
         depends on (Section 3.2)."""
+        key = (owner, attribute)
+        if key not in self._clustered_cache:
+            self._clustered_cache[key] = self._compute_clustered_fraction(
+                owner, attribute
+            )
+        return self._clustered_cache[key]
+
+    def _compute_clustered_fraction(self, owner: str, attribute: str) -> float:
         extent = self._store.extent(owner)
         total = 0
         colocated = 0
@@ -260,15 +274,15 @@ class Statistics:
         ``attribute`` has length > ``g`` — the exact size of the
         semi-naive delta at iteration ``g+1`` of a transitive closure
         over that attribute (iteration 0 produces one tuple per record
-        with a non-null reference)."""
-        depths = self.chain_depths(entity, attribute)
-        if not depths:
-            return []
-        maximum = max(depths)
-        return [
-            sum(1 for depth in depths if depth >= g)
-            for g in range(1, maximum + 1)
-        ]
+        with a non-null reference).  The list is shared: do not mutate it."""
+        key = (entity, attribute)
+        if key not in self._chain_survivor_cache:
+            depths = self.chain_depths(entity, attribute)
+            self._chain_survivor_cache[key] = [
+                sum(1 for depth in depths if depth >= g)
+                for g in range(1, max(depths, default=0) + 1)
+            ]
+        return self._chain_survivor_cache[key]
 
     def chain_depth(self, entity: str, attribute: str) -> Tuple[int, float]:
         """(max, mean) length of reference chains along a self-referencing

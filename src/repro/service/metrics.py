@@ -41,6 +41,9 @@ class QueryRecord:
     execute_seconds: float
     rows: int
     request_id: str = ""
+    #: Time spent waiting for the service's store lock before
+    #: execution started; not part of ``execute_seconds``.
+    wait_lock_seconds: float = 0.0
     #: Engine batch size the request ran with, so slow-log entries and
     #: telemetry attribute latency regressions to the right pipeline
     #: configuration (0 = unknown, for records predating the field).
@@ -67,6 +70,7 @@ class QueryRecord:
             "measured_cost": round(self.measured_cost, 2),
             "optimize_ms": round(self.optimize_seconds * 1000, 3),
             "execute_ms": round(self.execute_seconds * 1000, 3),
+            "wait_lock_ms": round(self.wait_lock_seconds * 1000, 3),
             "rows": self.rows,
             "request_id": self.request_id,
             "batch_size": self.batch_size,

@@ -550,8 +550,12 @@ class QueryService:
         with self.admission.slot(weight=weight) as granted:
             granted_parallelism = min(requested, granted)
             granted_shards = min(requested_shards, granted)
-            execute_started = time.perf_counter()
+            lock_started = time.perf_counter()
             with self._store_lock:
+                # The execute clock starts once the lock is held, so
+                # contention reads as lock wait, not as execution.
+                execute_started = time.perf_counter()
+                wait_lock_elapsed = execute_started - lock_started
                 engine = Engine(
                     self.physical,
                     max_fix_iterations=self.config.max_fix_iterations,
@@ -594,6 +598,7 @@ class QueryService:
             execute_seconds=execute_elapsed,
             rows=len(execution.rows),
             request_id=request_id,
+            wait_lock_seconds=wait_lock_elapsed,
             batch_size=engine.batch_size,
             batch_layout=engine.batch_layout,
             shards=granted_shards,
@@ -651,6 +656,7 @@ class QueryService:
             "plans_costed": plans_costed,
             "optimize_ms": round(optimize_elapsed * 1000, 3),
             "execute_ms": round(execute_elapsed * 1000, 3),
+            "wait_lock_ms": round(wait_lock_elapsed * 1000, 3),
             "fix_iterations": execution.metrics.fix_iterations,
             "parallelism": granted_parallelism,
             "batch_size": engine.batch_size,

@@ -5,6 +5,7 @@ metrics sidecar, and the CLI entry points."""
 import io
 import json
 import os
+import time
 import urllib.request
 
 import pytest
@@ -168,6 +169,52 @@ class TestSlowQueryLog:
     def test_defaults_do_not_flag_healthy_queries(self, service):
         service.handle({"op": "query", "text": FIG3})
         assert service.stats()["service"]["slow_queries"] == 0
+
+
+POINT = 'select [name: c.name] from c in Composer where c.name = "Bach";'
+
+
+class _SlowLock:
+    """The store lock, taking ``delay`` seconds to acquire."""
+
+    def __init__(self, inner, delay):
+        self.inner = inner
+        self.delay = delay
+
+    def acquire(self, *args, **kwargs):
+        time.sleep(self.delay)
+        return self.inner.acquire(*args, **kwargs)
+
+    def release(self):
+        self.inner.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestLockWait:
+    def test_lock_wait_is_not_execution(self):
+        service = QueryService(
+            build_db(),
+            ServiceConfig(slow_query_seconds=0.04, misestimate_ratio=None),
+        )
+        service.handle({"op": "query", "text": POINT})
+        service._store_lock = _SlowLock(service._store_lock, 0.05)
+        response = service.handle({"op": "query", "text": POINT})
+        assert response["wait_lock_ms"] >= 50
+        assert response["execute_ms"] < 40
+        recent = service.stats()["service"]["recent"][-1]
+        assert recent["wait_lock_ms"] == response["wait_lock_ms"]
+        assert recent["execute_ms"] == response["execute_ms"]
+        # The slow-query log judges execution alone.
+        assert service.stats()["service"]["slow_queries"] == 0
+
+    def test_uncontended_lock_wait_is_small(self, service):
+        response = service.handle({"op": "query", "text": POINT})
+        assert 0 <= response["wait_lock_ms"] < 40
 
 
 class TestOverTheWire:
