@@ -20,6 +20,8 @@ equivalent program), so it doubles as a normal form for display.
 
 from __future__ import annotations
 
+import functools
+from decimal import Decimal
 from typing import Dict, List
 
 from repro.lang.ast import (
@@ -40,16 +42,39 @@ from repro.lang.ast import (
 )
 from repro.lang.parser import parse
 
-__all__ = ["canonical_text", "canonical_program"]
+__all__ = [
+    "canonical_memo_info",
+    "canonical_program",
+    "canonical_text",
+    "render_literal",
+]
+
+#: Distinct texts :func:`canonical_text` remembers.
+CANONICAL_MEMO_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=CANONICAL_MEMO_SIZE)
 def canonical_text(text: str) -> str:
     """Parse ``text`` and return its canonical serialization.
 
     Raises the usual :class:`~repro.errors.LanguageError` subclasses on
-    malformed input — a cache should not key on garbage.
+    malformed input — a cache should not key on garbage.  The result
+    is a pure function of the text, so it is memoized in a bounded LRU
+    (``canonical_text.cache_info()``); a raising call is never cached,
+    so malformed text raises every time.
     """
     return canonical_program(parse(text))
+
+
+def canonical_memo_info() -> Dict[str, int]:
+    """Hits, misses and size of the :func:`canonical_text` memo."""
+    info = canonical_text.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "size": info.currsize,
+        "capacity": CANONICAL_MEMO_SIZE,
+    }
 
 
 def canonical_program(program: ProgramNode) -> str:
@@ -110,7 +135,7 @@ def _group(node: PredicateNode, names: Dict[str, str], wrap: tuple) -> str:
 
 def _expr(node: ExprNode, names: Dict[str, str]) -> str:
     if isinstance(node, Literal):
-        return _literal(node.value)
+        return render_literal(node.value)
     if isinstance(node, Path):
         root = names.get(node.var, node.var)
         return ".".join([root, *node.attrs])
@@ -133,7 +158,9 @@ def _operand(node: ExprNode, names: Dict[str, str]) -> str:
     return text
 
 
-def _literal(value: object) -> str:
+def render_literal(value: object) -> str:
+    """Query text for a literal value that parses back to the same
+    type and value (finite numbers only)."""
     if value is None:
         return "null"
     if value is True:
@@ -143,8 +170,14 @@ def _literal(value: object) -> str:
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if isinstance(value, float) and value == int(value):
-        # The lexer produces float only for texts with a decimal point;
-        # keep one so the round-trip stays a float.
-        return f"{value:.1f}"
-    return repr(value)
+    text = repr(value)
+    if isinstance(value, float):
+        # The lexer reads neither exponents nor floats without a
+        # decimal point: spell the shortest round-trip digits out
+        # positionally (1e-07 -> 0.0000001) and keep one point.
+        text = format(Decimal(text), "f")
+        if "." not in text:
+            text += ".0"
+    # Parenthesized, a sign can never fuse with a preceding "-" into a
+    # comment, whatever text the literal is spliced next to.
+    return f"({text})" if text.startswith("-") else text

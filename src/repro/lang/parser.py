@@ -13,7 +13,7 @@ Grammar (informal)::
     unary        := 'not' unary | '(' predicate ')' | comparison
     comparison   := expr ('='|'=='|'!='|'<'|'<='|'>'|'>=') expr
     expr         := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)*
-    factor       := literal | path | call | '(' expr ')'
+    factor       := literal | '-' NUMBER | path | call | '(' expr ')'
 
 A bare projection expression (``select x.name from ...``) names its
 field after the final path component.
@@ -247,9 +247,11 @@ class Parser:
         token = self._peek()
         if token.kind == "number":
             self._advance()
-            if "." in token.value:
-                return Literal(float(token.value))
-            return Literal(int(token.value))
+            return Literal(_number(token.value))
+        if token.is_("op", "-") and self._peek(1).kind == "number":
+            # A negative constant is one literal, not an expression.
+            self._advance()
+            return Literal(-_number(self._advance().value))
         if token.kind == "string":
             self._advance()
             return Literal(token.value)
@@ -289,3 +291,7 @@ class Parser:
             self._advance()
             attrs.append(self._expect("ident").value)
         return Path(name, tuple(attrs))
+
+
+def _number(text: str):
+    return float(text) if "." in text else int(text)

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -39,6 +40,12 @@ __all__ = [
     "PlanHistory",
     "QueryTelemetryStore",
 ]
+
+#: ``slots=True`` (3.10+): the telemetry rings keep one
+#: :class:`OperatorActual` per operator per remembered run, so a
+#: per-instance dict would dominate their memory; on 3.9 the class
+#: works identically, just with a dict.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 def plan_fingerprint(plan) -> str:
@@ -100,7 +107,7 @@ class OperatorEstimate:
         }
 
 
-@dataclass
+@dataclass(**_SLOTS)
 class OperatorActual:
     """One execution's measured counters for one node (profiled runs
     carry everything; unprofiled runs carry cardinalities only)."""

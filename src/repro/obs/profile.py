@@ -22,6 +22,7 @@ unwrapped and the hot path pays nothing.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,7 +65,9 @@ def assign_node_ids(plan) -> Dict[int, str]:
         return cached_ids
     ids: Dict[int, str] = {}
     for index, node in enumerate(plan.walk()):
-        ids.setdefault(id(node), f"n{index}")
+        # Interned: these ids key every retained observation's
+        # per-operator actuals, so all runs share one string each.
+        ids.setdefault(id(node), sys.intern(f"n{index}"))
     _node_ids_memo = (plan, ids)
     return ids
 

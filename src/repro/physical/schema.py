@@ -11,7 +11,7 @@ indices for the ``collapse`` action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError, UnknownEntityError, UnknownIndexError
 from repro.physical.buffer import BufferPool
@@ -47,7 +47,13 @@ class EntityInfo:
 
 
 class PhysicalSchema:
-    """Registry of atomic entities, indices and statistics."""
+    """Registry of atomic entities, indices and statistics.
+
+    The statistics snapshot and :attr:`fingerprint` describe the
+    *durable* schema: registering an extent or fragment discards both,
+    an index build discards the fingerprint, and temporaries — which
+    every recursive execution registers and drops — touch neither.
+    """
 
     def __init__(self, store: ObjectStore, catalog: Optional[Catalog] = None) -> None:
         self.store = store
@@ -57,7 +63,14 @@ class PhysicalSchema:
         self._selection_indices: Dict[Tuple[str, str], SelectionIndex] = {}
         self._path_indices: Dict[Tuple[str, Tuple[str, ...]], PathIndex] = {}
         self._statistics: Optional[Statistics] = None
+        #: Names of the registered temporaries; the statistics snapshot
+        #: reads this set to keep their records out of its collection.
+        self._temps: Set[str] = set()
         self._temp_counter = 0
+        #: Memo slot for the plan cache's structural digest of this
+        #: schema (:func:`repro.service.plan_cache.schema_fingerprint`);
+        #: cleared whenever the durable entities or the indices change.
+        self.fingerprint: Optional[str] = None
 
     # -- entity registration ------------------------------------------------
 
@@ -90,6 +103,7 @@ class PhysicalSchema:
         self.store.create_extent(name, records_per_page)
         info = EntityInfo(name, "temp", conceptual_name)
         self._register(info)
+        self._temps.add(name)
         return info
 
     def _register(self, info: EntityInfo) -> None:
@@ -98,7 +112,9 @@ class PhysicalSchema:
         self._entities[info.name] = info
         if info.conceptual_name is not None:
             self._implements.setdefault(info.conceptual_name, []).append(info.name)
-        self._statistics = None  # invalidate
+        if info.kind != "temp":
+            self._statistics = None
+            self.fingerprint = None
 
     def drop_temp(self, name: str) -> None:
         info = self.entity(name)
@@ -108,7 +124,11 @@ class PhysicalSchema:
         del self._entities[name]
         if info.conceptual_name is not None:
             self._implements[info.conceptual_name].remove(name)
-        self._statistics = None
+        self._temps.discard(name)
+        if self._statistics is not None:
+            # A temp's statistics are collected lazily; evict them so a
+            # long-lived snapshot keeps durable entries only.
+            self._statistics.forget(name)
 
     # -- lookup ---------------------------------------------------------------
 
@@ -147,6 +167,7 @@ class PhysicalSchema:
         self.entity(entity)
         index = build_selection_index(self.store, entity, attribute)
         self._selection_indices[(entity, attribute)] = index
+        self.fingerprint = None
         return index
 
     def selection_index(self, entity: str, attribute: str) -> Optional[SelectionIndex]:
@@ -170,6 +191,7 @@ class PhysicalSchema:
             self.store, root_entity, attributes, entities, terminal_attribute
         )
         self._path_indices[(root_entity, tuple(attributes))] = index
+        self.fingerprint = None
         return index
 
     def path_index(
@@ -216,17 +238,21 @@ class PhysicalSchema:
         view._selection_indices = dict(self._selection_indices)
         view._path_indices = dict(self._path_indices)
         view._statistics = None
+        view._temps = set(self._temps)
         view._temp_counter = self._temp_counter
+        view.fingerprint = self.fingerprint
         return view
 
     # -- statistics ------------------------------------------------------------------
 
     @property
     def statistics(self) -> Statistics:
+        """The current snapshot, collected on first use and kept until
+        :meth:`refresh_statistics` or a durable registration."""
         if self._statistics is None:
-            self._statistics = Statistics(self.store)
+            self._statistics = Statistics(self.store, self._temps)
         return self._statistics
 
     def refresh_statistics(self) -> Statistics:
-        self._statistics = Statistics(self.store)
+        self._statistics = Statistics(self.store, self._temps)
         return self._statistics

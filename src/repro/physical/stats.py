@@ -8,12 +8,15 @@ and recursion-depth estimates for fixpoint costing.
 
 Statistics are collected by an offline pass over the store (using
 ``peek``, charging no simulated I/O), as a real system's ANALYZE would.
+A :class:`Statistics` object is a snapshot of the durable extents:
+temporaries are named to it, left out of the collection and of the
+reference weights, and collected lazily only if someone asks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Set, Tuple
 
 from repro.physical.storage import ObjectStore, Oid
 
@@ -87,32 +90,63 @@ class EntityStatistics:
 
 
 class Statistics:
-    """Whole-store statistics with recursion-depth estimation."""
+    """Whole-store statistics with recursion-depth estimation.
 
-    def __init__(self, store: ObjectStore) -> None:
+    ``temporary`` names the store's temporary extents (it may be a live
+    set that changes after construction): :meth:`refresh` collects
+    every other extent, and temporaries' records never count as
+    references to durable objects.
+    """
+
+    def __init__(
+        self, store: ObjectStore, temporary: Container[str] = frozenset()
+    ) -> None:
         self._store = store
+        self._temporary = temporary
         self._entities: Dict[str, EntityStatistics] = {}
         # Values derived from the store, computed on first use and kept
         # until the next refresh, like the per-extent statistics.
         self._chain_depth_cache: Dict[Tuple[str, str], List[int]] = {}
         self._chain_survivor_cache: Dict[Tuple[str, str], List[int]] = {}
         self._clustered_cache: Dict[Tuple[str, str], float] = {}
+        #: Memo slot for the plan cache's digest of this snapshot
+        #: (:func:`repro.service.plan_cache.stats_fingerprint`).
+        self.fingerprint: Optional[str] = None
         self.refresh()
 
     def refresh(self) -> None:
-        """Recollect statistics for every extent."""
+        """Recollect statistics for every durable extent."""
         self._entities.clear()
         self._chain_depth_cache.clear()
         self._chain_survivor_cache.clear()
         self._clustered_cache.clear()
-        weights = self._reference_weights()
-        for name in self._store.extent_names():
+        self.fingerprint = None
+        names = [
+            name
+            for name in self._store.extent_names()
+            if name not in self._temporary
+        ]
+        weights = self._reference_weights(names)
+        for name in names:
             self._entities[name] = self._collect(name, weights)
 
-    def _reference_weights(self) -> Dict[Oid, int]:
-        """How many times each object is referenced from any record."""
+    def forget(self, name: str) -> None:
+        """Drop whatever was collected or derived for extent ``name``
+        (a temporary that no longer exists)."""
+        self._entities.pop(name, None)
+        for cache in (
+            self._chain_depth_cache,
+            self._chain_survivor_cache,
+            self._clustered_cache,
+        ):
+            for key in [key for key in cache if key[0] == name]:
+                del cache[key]
+
+    def _reference_weights(self, names: List[str]) -> Dict[Oid, int]:
+        """How many times each object is referenced from any record of
+        the extents ``names``."""
         weights: Dict[Oid, int] = {}
-        for name in self._store.extent_names():
+        for name in names:
             for record in self._store.extent(name).records:
                 for value in record.values.values():
                     if isinstance(value, Oid):

@@ -10,8 +10,11 @@ Keying
     ``(canonical query text, structural schema fingerprint)``.  The
     canonical text (:mod:`repro.lang.canonical`) erases whitespace and
     alias variations; the structural fingerprint covers the entity and
-    index inventory, so building or dropping an index — which changes
-    the plan space itself — can never serve a stale plan.
+    index inventory, so building an index — which changes the plan
+    space itself — can never serve a stale plan.  A hit does no parsing
+    or hashing: the canonical text is memoized per raw text, and both
+    fingerprints are kept on the objects they describe until those
+    change.
 
 Invalidation
     Each entry remembers the *statistics fingerprint* and estimated
@@ -32,8 +35,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cost.recost import recost_plan
 from repro.errors import ReproError
-from repro.lang.canonical import canonical_text
+from repro.lang.canonical import canonical_memo_info, canonical_text
 from repro.physical.schema import PhysicalSchema
+from repro.physical.stats import Statistics
 from repro.plans.nodes import PlanNode
 
 __all__ = [
@@ -72,7 +76,14 @@ def _digest(parts) -> str:
 def schema_fingerprint(physical: PhysicalSchema) -> str:
     """Fingerprint of the plan-relevant *structure*: which durable
     entities exist (temps are per-execution noise) and which selection
-    and path indices are built."""
+    and path indices are built.  Kept on the schema until a durable
+    registration or an index build clears it."""
+    if physical.fingerprint is None:
+        physical.fingerprint = _schema_digest(physical)
+    return physical.fingerprint
+
+
+def _schema_digest(physical: PhysicalSchema) -> str:
     entities = sorted(
         (info.name, info.kind, info.conceptual_name)
         for info in physical.entities()
@@ -92,8 +103,15 @@ def schema_fingerprint(physical: PhysicalSchema) -> str:
 def stats_fingerprint(physical: PhysicalSchema) -> str:
     """Fingerprint of the statistics the cost model reads: ``|C|``,
     ``||C||`` and per-attribute distinct/non-null counts and fan-outs
-    for every durable entity."""
+    for every durable entity.  Kept on the statistics snapshot until
+    its ``refresh()``; a new snapshot starts without one."""
     stats = physical.statistics
+    if stats.fingerprint is None:
+        stats.fingerprint = _stats_digest(physical, stats)
+    return stats.fingerprint
+
+
+def _stats_digest(physical: PhysicalSchema, stats: Statistics) -> str:
     parts = []
     for info in sorted(physical.entities(), key=lambda info: info.name):
         if info.kind == "temp":
@@ -395,4 +413,6 @@ class PlanCache:
                 "capacity": self.capacity,
                 "drift_ratio": self.drift_ratio,
                 **self.stats.snapshot(),
+                # Process-wide: every cache shares the one text memo.
+                "canonical_memo": canonical_memo_info(),
             }

@@ -56,6 +56,7 @@ through to the parser silently.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Dict, List, Optional, Tuple
 
@@ -68,6 +69,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
 )
+from repro.lang.canonical import render_literal
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -180,21 +182,10 @@ def substitute_params(text: str, params: Optional[Dict[str, object]]) -> str:
 
 
 def _render_literal(value: object) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ProtocolError(f"non-finite parameter value {value!r}")
-        return repr(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ProtocolError(f"non-finite parameter value {value!r}")
+    if value is None or isinstance(value, (str, int, float)):
+        return render_literal(value)
     raise ProtocolError(
         f"unsupported parameter type {type(value).__name__} "
         "(use string, number, boolean or null)"

@@ -8,6 +8,18 @@ import time
 import pytest
 
 from repro.cli import build_parser, cmd_serve
+from repro.engine import ReferenceEvaluator
+from repro.querygraph.builder import (
+    add,
+    arc,
+    const,
+    ge,
+    out,
+    path,
+    query,
+    rule,
+    spj,
+)
 from repro.service import (
     QueryServer,
     QueryService,
@@ -144,6 +156,30 @@ class TestSessionsAndStatements:
         assert bach["rows"][0]["name"] == "Bach"
         nobody = client.execute(statement, {"who": "nobody"})
         assert nobody["row_count"] == 0
+
+    @pytest.mark.parametrize("value", [-3, -2.5, 1e20, 1e-7, 0.1])
+    def test_numeric_parameters_splice_as_literals(self, served, value):
+        db, _service, client = served
+        client.hello()
+        statement = client.prepare(
+            "select [name: c.name, shifted: c.birthyear + $v] "
+            "from c in Composer where c.birthyear + $v >= 1750;"
+        )
+        response = client.execute(statement, {"v": value})
+        shifted = add(path("c", "birthyear"), const(value))
+        graph = query(
+            rule(
+                "Answer",
+                spj(
+                    [arc("Composer", c=".")],
+                    where=ge(shifted, const(1750)),
+                    select=out(name=path("c", "name"), shifted=shifted),
+                ),
+            )
+        )
+        want = ReferenceEvaluator(db.physical).evaluate(graph)
+        assert want
+        assert canonical_rows(response["rows"]) == canonical_rows(want)
 
     def test_unbound_parameter_is_an_error(self, served):
         _db, _service, client = served
