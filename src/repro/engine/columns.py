@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 __all__ = [
     "numpy_backend",
     "column_kinds",
-    "is_plain_kinds",
+    "PLAIN_KINDS",
     "is_numeric_kinds",
     "has_structured_kinds",
     "gather",
@@ -32,7 +32,7 @@ __all__ = [
 #: whose comparisons cannot dereference, charge or recurse.  ``bool``
 #: is deliberately *plain* (it compares as an int) but *not* numeric
 #: below — the numpy path keeps away from bool/int dtype coercion.
-_PLAIN_KINDS = frozenset({int, float, str, bool})
+PLAIN_KINDS = frozenset({int, float, str, bool})
 _NUMERIC_KINDS = frozenset({int, float})
 _STRUCTURED_KINDS = frozenset({list, tuple, dict, set, frozenset})
 
@@ -64,13 +64,6 @@ def numpy_backend():
 def column_kinds(column: Sequence[object]) -> frozenset:
     """The set of concrete value types in a column (one C-level pass)."""
     return frozenset(map(type, column))
-
-
-def is_plain_kinds(kinds: frozenset) -> bool:
-    """Whether every value of a column with these kinds is a plain atom
-    (no records, oids, collections or None — nothing a comparison could
-    dereference or that the row-at-a-time fast path would reject)."""
-    return kinds <= _PLAIN_KINDS
 
 
 def is_numeric_kinds(kinds: frozenset) -> bool:

@@ -31,9 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.engine.columns import (
+    PLAIN_KINDS,
     column_kinds,
     is_numeric_kinds,
-    is_plain_kinds,
     numpy_backend,
 )
 from repro.physical.storage import ObjectStore, Oid, StoredRecord
@@ -54,10 +54,41 @@ from repro.engine.metrics import RuntimeMetrics
 
 Binding = Dict[str, object]
 
-__all__ = ["Binding", "ExpressionEvaluator", "normalize_value", "canonical_row"]
+__all__ = [
+    "Binding",
+    "ExpressionEvaluator",
+    "JoinKernel",
+    "normalize_value",
+    "canonical_row",
+]
 
 #: Sentinel distinguishing "attribute absent" from a stored None.
 _MISSING = object()
+
+#: Key types the nested-loop join kernel compares directly: values
+#: ``normalize_value`` passes through unchanged, whose ``==`` is
+#: symmetric and never raises.
+_JOIN_SCALARS = frozenset({Oid, int, float, str, bool})
+_JOIN_KEY_KINDS = _JOIN_SCALARS | {type(None)}
+_RECORD_KINDS = frozenset({StoredRecord})
+
+
+def _extract_column(column, attr, accepted: frozenset):
+    """``(raw values, kinds)`` of ``column[i].values[attr]`` when every
+    element is a stored record holding ``attr`` as a value of an
+    ``accepted`` kind; None otherwise (the whole batch then takes the
+    row path, keeping any charging and counting in row order)."""
+    if column_kinds(column) != _RECORD_KINDS:
+        return None
+    try:
+        raws = [record.values[attr] for record in column]
+    except KeyError:
+        return None
+    kinds = column_kinds(raws)
+    if not kinds <= accepted:
+        return None
+    return raws, kinds
+
 
 #: ``const <op> path`` rewritten as ``path <mirrored op> const`` so the
 #: fast comparison path applies regardless of operand order.
@@ -133,6 +164,9 @@ class ExpressionEvaluator:
             int, Tuple[PathRef, Callable[[Binding], List[object]]]
         ] = {}
         self._compiled_kernels: Dict[int, Tuple[Predicate, Callable]] = {}
+        self._compiled_join_kernels: Dict[
+            int, Tuple[Predicate, Optional["JoinKernel"]]
+        ] = {}
         self._compiled_value_walks: Dict[int, Tuple[PathRef, Callable]] = {}
         #: Compilation counters: how many closures were built.  Bounded
         #: by the number of distinct AST nodes, never by tuple counts.
@@ -431,6 +465,31 @@ class ExpressionEvaluator:
         self._compiled_kernels[id(predicate)] = (predicate, kernel)
         return kernel
 
+    def compile_join_kernel(
+        self, predicate: Predicate
+    ) -> Optional["JoinKernel"]:
+        """The batch-at-a-time equality kernel of a nested-loop join
+        predicate (cached per node), or None when the predicate is not
+        a ``v.a = w.b`` comparison of one-attribute paths over two
+        distinct variables.  The kernel only *selects*; the join
+        operator charges the counters (see :class:`JoinKernel`)."""
+        cached = self._compiled_join_kernels.get(id(predicate))
+        if cached is not None:
+            return cached[1]
+        kernel = None
+        if (
+            isinstance(predicate, Comparison)
+            and predicate.op == "="
+            and isinstance(predicate.left, PathRef)
+            and isinstance(predicate.right, PathRef)
+            and len(predicate.left.attrs) == 1
+            and len(predicate.right.attrs) == 1
+            and predicate.left.var != predicate.right.var
+        ):
+            kernel = JoinKernel(predicate.left, predicate.right)
+        self._compiled_join_kernels[id(predicate)] = (predicate, kernel)
+        return kernel
+
     def _build_column_pass(
         self, predicate: Predicate
     ) -> Optional[Callable[["object"], Optional[List[int]]]]:
@@ -456,23 +515,6 @@ class ExpressionEvaluator:
             return self._column_conjunction(first, second)
         return None
 
-    @staticmethod
-    def _extract_plain_column(column, attr):
-        """``(raw values, kinds)`` of ``column[i].values[attr]`` when
-        every element is a stored record with a plain scalar for
-        ``attr``; None otherwise (the whole batch then takes the row
-        path, keeping any charging and counting in row order)."""
-        if column_kinds(column) != {StoredRecord}:
-            return None
-        try:
-            raws = [record.values[attr] for record in column]
-        except KeyError:
-            return None
-        kinds = column_kinds(raws)
-        if not is_plain_kinds(kinds):
-            return None
-        return raws, kinds
-
     def _column_comparison(self, spec):
         """One vectorized pass for ``record.attr <op> constant`` over a
         column: ``expr_evals`` counts two per row, exactly as
@@ -488,7 +530,7 @@ class ExpressionEvaluator:
             column = columns.get(var)
             if column is None:
                 return None
-            extracted = self._extract_plain_column(column, attr)
+            extracted = _extract_column(column, attr, PLAIN_KINDS)
             if extracted is None:
                 return None
             raws, kinds = extracted
@@ -533,7 +575,7 @@ class ExpressionEvaluator:
             column = columns.get(var)
             if column is None:
                 return None
-            extracted = self._extract_plain_column(column, attr)
+            extracted = _extract_column(column, attr, PLAIN_KINDS)
             if extracted is None:
                 return None
             raws, kinds = extracted
@@ -754,6 +796,98 @@ class ExpressionEvaluator:
             return slow(binding)
 
         return fused
+
+
+class JoinKernel:
+    """Equality join ``v.a = w.b`` evaluated one inner batch at a time.
+
+    The nested-loop join reads the outer key once per outer binding
+    (:meth:`outer_key`) and then selects the matching positions of each
+    inner batch from its key column (:meth:`matches`), instead of
+    merging every pair into a dict and running the compiled predicate.
+    Both steps accept only values the compiled predicate would read
+    without charging anything — a stored record with the attribute
+    stored — and return None otherwise; the operator then runs its
+    per-pair loop for that outer binding or inner batch, which keeps
+    the buffer-charge order of oid dereferences and method calls.
+
+    On a kernel-handled batch the truth value of every pair equals the
+    compiled predicate's, and each pair costs what it costs there: one
+    predicate evaluation and two expression evaluations (the two fast
+    path operands).  The operator adds those counts itself.
+    """
+
+    __slots__ = ("_orientations",)
+
+    def __init__(self, left: PathRef, right: PathRef) -> None:
+        # (outer var, outer attr, inner var, inner attr), per side the
+        # outer operand may bind.
+        self._orientations = (
+            (left.var, left.attrs[0], right.var, right.attrs[0]),
+            (right.var, right.attrs[0], left.var, left.attrs[0]),
+        )
+
+    def outer_key(self, binding: Binding) -> Optional[tuple]:
+        """``(outer var, inner var, inner attr, key values)`` for one
+        outer binding, or None when the binding needs the per-pair
+        path: it binds both or neither variable, or the outer value is
+        not a stored record holding the attribute as a scalar, None or
+        a collection of scalars."""
+        for outer_var, outer_attr, inner_var, inner_attr in self._orientations:
+            if outer_var in binding and inner_var not in binding:
+                break
+        else:
+            return None
+        value = binding[outer_var]
+        if type(value) is not StoredRecord:
+            return None
+        raw = value.values.get(outer_attr, _MISSING)
+        if raw is None:
+            values: tuple = ()
+        elif type(raw) in _JOIN_SCALARS:
+            values = (raw,)
+        elif isinstance(raw, (list, tuple)) and all(
+            type(item) in _JOIN_SCALARS for item in raw
+        ):
+            values = tuple(raw)
+        else:
+            return None
+        return outer_var, inner_var, inner_attr, values
+
+    @staticmethod
+    def matches(key: tuple, batch) -> Optional[List[int]]:
+        """Positions of the inner ``batch`` that join with ``key``, in
+        batch order; None when the batch needs the per-pair path (the
+        inner variable is missing, the batch also binds the outer
+        variable, or a key is not a stored scalar or None)."""
+        outer_var, inner_var, attr, values = key
+        columns = batch._columns
+        if columns is not None:
+            column = columns.get(inner_var)
+            if column is None or outer_var in columns:
+                return None
+        else:
+            rows = batch.rows
+            try:
+                column = [row[inner_var] for row in rows]
+            except KeyError:
+                return None
+            if any(outer_var in row for row in rows):
+                return None
+        extracted = _extract_column(column, attr, _JOIN_KEY_KINDS)
+        if extracted is None:
+            return None
+        raws = extracted[0]
+        if len(values) == 1:
+            value = values[0]
+            return [i for i, raw in enumerate(raws) if raw == value]
+        if not values:
+            return []
+        return [
+            i
+            for i, raw in enumerate(raws)
+            if any(raw == value for value in values)
+        ]
 
 
 def _product(lists: Sequence[List[object]]):

@@ -523,20 +523,26 @@ class Engine:
     ) -> Iterator[Batch]:
         """Scan an extent into batches.  One cancellation poll and one
         ``batches`` increment per batch; the page-touch order of the
-        underlying scan is untouched."""
+        underlying scan is untouched: batches are cut from whole pages,
+        and the next page is touched only when the batch being built
+        needs its first record, as a record-at-a-time scan would."""
         batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
         records: List[StoredRecord] = []
         try:
-            for record in self.store.scan(entity):
-                records.append(record)
-                if len(records) >= batch_size:
-                    self.check_cancelled()
-                    produced += len(records)
-                    metrics.batches += 1
-                    yield self._make_scan_batch(var, records, node_id)
-                    records = []
+            for page in self.store.scan_pages(entity):
+                start = 0
+                while start < len(page):
+                    end = start + batch_size - len(records)
+                    records.extend(page[start:end])
+                    start = end
+                    if len(records) >= batch_size:
+                        self.check_cancelled()
+                        produced += len(records)
+                        metrics.batches += 1
+                        yield self._make_scan_batch(var, records, node_id)
+                        records = []
             if records:
                 self.check_cancelled()
                 produced += len(records)
@@ -1133,11 +1139,21 @@ class Engine:
         for every outer *binding* — not per outer batch — re-charging
         its I/O exactly as the EJ cost formula of Figure 5 prices it
         (rescanning per batch would make measured I/O depend on the
-        batch size, which the parity contract forbids)."""
+        batch size, which the parity contract forbids).
+
+        An equality predicate between one attribute of each side runs
+        through the :class:`~repro.engine.eval_expr.JoinKernel`: the
+        outer key is read once per outer binding and each inner batch
+        is matched on its key column, building merged bindings only for
+        matches.  The counters of every pair are added up to each flush
+        point before the yield, so even a consumer that stops early sees
+        the per-pair path's counts.  Any outer binding or inner batch
+        the kernel declines runs the per-pair loop."""
         evaluator = self._evaluator
         assert evaluator is not None
         node_id = self._node_ids.get(id(node))
         predicate = evaluator.compile_predicate(node.predicate)
+        kernel = evaluator.compile_join_kernel(node.predicate)
         batch_size = self.batch_size
         metrics = self.metrics
         produced = 0
@@ -1145,9 +1161,47 @@ class Engine:
         try:
             for left_batch in self.iterate_batches(node.left, delta_env):
                 for left_binding in left_batch.rows:
+                    key = (
+                        kernel.outer_key(left_binding)
+                        if kernel is not None
+                        else None
+                    )
                     for right_batch in self.iterate_batches(
                         node.right, delta_env
                     ):
+                        matches = (
+                            kernel.matches(key, right_batch)
+                            if key is not None
+                            else None
+                        )
+                        if matches is not None:
+                            counted = 0
+                            if right_batch.is_columnar:
+                                items = list(right_batch.columns.items())
+                                right_rows = None
+                            else:
+                                right_rows = right_batch.rows
+                            for i in matches:
+                                merged = dict(left_binding)
+                                if right_rows is None:
+                                    for name, column in items:
+                                        merged[name] = column[i]
+                                else:
+                                    merged.update(right_rows[i])
+                                rows.append(merged)
+                                if len(rows) >= batch_size:
+                                    pairs = i + 1 - counted
+                                    counted = i + 1
+                                    metrics.predicate_evals += pairs
+                                    metrics.expr_evals += 2 * pairs
+                                    produced += len(rows)
+                                    metrics.batches += 1
+                                    yield Batch(rows, node_id)
+                                    rows = []
+                            pairs = len(right_batch) - counted
+                            metrics.predicate_evals += pairs
+                            metrics.expr_evals += 2 * pairs
+                            continue
                         for right_binding in right_batch.rows:
                             merged = dict(left_binding)
                             merged.update(right_binding)

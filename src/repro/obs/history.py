@@ -21,6 +21,7 @@ online cost-model recalibration and plan-regression detection.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -67,9 +68,12 @@ def plan_fingerprint(plan) -> str:
     return hasher.hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=4096)
 def query_class(canonical: str) -> str:
     """Short stable id for one canonical query text (a metrics-label
-    safe stand-in for the text itself)."""
+    safe stand-in for the text itself).  Memoized: the observability
+    path asks for it on every request, and warm traffic repeats a
+    bounded set of texts."""
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
 
 
@@ -143,9 +147,13 @@ class OperatorActual:
         )
 
 
-@dataclass
+@dataclass(**_SLOTS)
 class Observation:
-    """One executed query, as remembered by the telemetry store."""
+    """One executed query, as remembered by the telemetry store.
+
+    ``events`` and ``operators`` are read-only once recorded: the store
+    shares them between consecutive observations of a plan when they
+    are equal (see :meth:`QueryTelemetryStore.record`)."""
 
     at: float
     request_id: str
@@ -474,6 +482,8 @@ class QueryTelemetryStore:
             history = self._register_locked(
                 canonical, fingerprint, plan_cost, estimates or {}, distributed
             )
+            if self._sink is None:
+                return history
             record = {
                 "kind": "plan",
                 "fingerprint": fingerprint,
@@ -527,21 +537,34 @@ class QueryTelemetryStore:
         return history
 
     def record(self, fingerprint: str, observation: Observation) -> None:
-        """Append one execution to a registered plan's ring."""
+        """Append one execution to a registered plan's ring.
+
+        Warm runs of one plan usually repeat the previous run's per-node
+        cardinalities and event counts exactly; the observation then
+        shares the previous one's ``operators`` / ``events`` objects, so
+        a ring of equal runs costs one copy, not one per run."""
         with self._lock:
             history = self._plans.get(fingerprint)
             if history is None:
                 return
-            history.observations.append(observation)
+            observations = history.observations
+            if observations:
+                previous = observations[-1]
+                if observation.operators == previous.operators:
+                    observation.operators = previous.operators
+                if observation.events == previous.events:
+                    observation.events = previous.events
+            observations.append(observation)
             history.total_runs += 1
             self._plans.move_to_end(fingerprint)
-            self._persist(
-                {
-                    "kind": "obs",
-                    "fingerprint": fingerprint,
-                    **observation.to_dict(),
-                }
-            )
+            if self._sink is not None:
+                self._persist(
+                    {
+                        "kind": "obs",
+                        "fingerprint": fingerprint,
+                        **observation.to_dict(),
+                    }
+                )
 
     def record_event(self, name: str, **payload) -> dict:
         """Remember one control-loop event (plan change, regression,

@@ -14,17 +14,20 @@ parameterized as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple
 
 __all__ = ["PageId", "Page", "PagedSegment", "DEFAULT_RECORDS_PER_PAGE"]
 
 DEFAULT_RECORDS_PER_PAGE = 20
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
-    """Identifier of one page: a segment name plus a page offset."""
+class PageId(NamedTuple):
+    """Identifier of one page: a segment name plus a page offset.
+
+    A named tuple, so the hashing and ordering the buffer pool and the
+    page-ordered scan do per page touch run in C.  Being a tuple, a
+    ``PageId`` compares equal to the plain ``(segment, number)`` tuple.
+    """
 
     segment: str
     number: int

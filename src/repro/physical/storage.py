@@ -67,10 +67,47 @@ class Extent:
         # The segment the extent is placed in.  Initially its own; a
         # clustering strategy may re-place records into a shared segment.
         self.segment: PagedSegment = PagedSegment(name, records_per_page)
+        # ``(record count, page-ordered groups)`` of the last scan plan,
+        # or None; see :meth:`page_groups`.
+        self._page_groups: Optional[
+            Tuple[int, List[Tuple[PageId, List[StoredRecord]]]]
+        ] = None
 
     def add(self, record: StoredRecord) -> None:
         self.records.append(record)
         self.by_oid[record.oid] = record
+
+    def forget_placement(self) -> None:
+        """Drop the cached scan plan (the records were re-placed)."""
+        self._page_groups = None
+
+    def page_groups(self) -> List[Tuple[PageId, List[StoredRecord]]]:
+        """The extent's records grouped by page, in page order — the
+        sequence a sequential scan touches.
+
+        Built once and reused until the extent grows or its records are
+        re-placed, so a nested-loop join re-scanning the same extent per
+        outer binding does not re-group it every time.  The cache is
+        stamped with the record count it covers, so an :meth:`add` —
+        including one racing the build, which covers only the records it
+        saw — makes the next call rebuild.  Callers must not mutate the
+        lists.
+        """
+        records = self.records
+        count = len(records)
+        cached = self._page_groups
+        if cached is not None and cached[0] == count:
+            return cached[1]
+        by_page: Dict[PageId, List[StoredRecord]] = {}
+        for record in records[:count]:
+            if record.page_id is None:
+                raise StorageError(
+                    f"record {record.oid!r} of {self.name!r} is unplaced"
+                )
+            by_page.setdefault(record.page_id, []).append(record)
+        groups = [(page_id, by_page[page_id]) for page_id in sorted(by_page)]
+        self._page_groups = (count, groups)
+        return groups
 
     def __len__(self) -> int:
         return len(self.records)
@@ -182,20 +219,21 @@ class ObjectStore:
 
         The scan is page-ordered: records come out grouped by page, and
         each page is charged exactly one logical read, matching the
-        sequential-scan term of ``access_cost``.
+        sequential-scan term of ``access_cost``.  The page grouping is
+        taken at the first ``next()`` and kept for the whole scan, so
+        records inserted while a scan is open are not seen by it.
         """
-        extent = self.extent(entity)
-        by_page: Dict[PageId, List[StoredRecord]] = {}
-        for record in extent.records:
-            if record.page_id is None:
-                raise StorageError(
-                    f"record {record.oid!r} of {entity!r} is unplaced"
-                )
-            by_page.setdefault(record.page_id, []).append(record)
-        for page_id in sorted(by_page):
+        for records in self.scan_pages(entity):
+            yield from records
+
+    def scan_pages(self, entity: str) -> Iterator[List[StoredRecord]]:
+        """:meth:`scan` a page at a time: each page is touched just
+        before its records are handed out, at the same point of the
+        stream where :meth:`scan` touches it.  The yielded lists are
+        shared with the extent's scan cache and must not be mutated."""
+        for page_id, records in self.extent(entity).page_groups():
             self.buffer.touch(page_id)
-            for record in by_page[page_id]:
-                yield record
+            yield records
 
     def entity_of(self, oid: Oid) -> str:
         record = self._records.get(oid)
@@ -228,6 +266,10 @@ class ObjectStore:
                     if record is None:
                         raise OidError(slot)
                     record.page_id = page.page_id
+        # A shared cluster segment may hold records of extents other
+        # than the ones re-placed here: forget every cached scan plan.
+        for extent in self._extents.values():
+            extent.forget_placement()
 
     # -- shard / session replicas --------------------------------------------
 

@@ -348,10 +348,10 @@ class EJ(PlanNode):
     """Explicit join ``EJ_pred(left, right)``.
 
     ``algorithm`` selects the implementation: ``nested_loop`` re-scans
-    the right subtree per left binding (the engine materializes it once
-    and loops in memory-over-pages fashion); ``index_join`` requires an
-    equality conjunct whose right side is a direct attribute of a right
-    entity leaf carrying a selection index.
+    the right subtree once per left binding, re-charging its I/O each
+    time, as the Figure 5 ``EJ`` formula prices it; ``index_join``
+    requires an equality conjunct whose right side is a direct
+    attribute of a right entity leaf carrying a selection index.
     """
 
     __slots__ = ("left", "right", "predicate", "algorithm")

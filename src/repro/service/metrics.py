@@ -44,6 +44,9 @@ class QueryRecord:
     #: Time spent waiting for the service's store lock before
     #: execution started; not part of ``execute_seconds``.
     wait_lock_seconds: float = 0.0
+    #: Time spent queued for admission-control execution slots before
+    #: the store-lock wait began; not part of ``execute_seconds``.
+    wait_admission_seconds: float = 0.0
     #: Engine batch size the request ran with, so slow-log entries and
     #: telemetry attribute latency regressions to the right pipeline
     #: configuration (0 = unknown, for records predating the field).
@@ -71,6 +74,7 @@ class QueryRecord:
             "optimize_ms": round(self.optimize_seconds * 1000, 3),
             "execute_ms": round(self.execute_seconds * 1000, 3),
             "wait_lock_ms": round(self.wait_lock_seconds * 1000, 3),
+            "wait_admission_ms": round(self.wait_admission_seconds * 1000, 3),
             "rows": self.rows,
             "request_id": self.request_id,
             "batch_size": self.batch_size,
@@ -188,6 +192,8 @@ class ServiceMetrics:
         self.counters: Dict[str, int] = {}
         self.optimize_seconds = 0.0
         self.execute_seconds = 0.0
+        self.wait_lock_seconds = 0.0
+        self.wait_admission_seconds = 0.0
         self.runtime = RuntimeMetrics()
         self.recent: Deque[QueryRecord] = deque(maxlen=window)
         #: The slow-query log: record dicts plus why they qualified.
@@ -239,6 +245,8 @@ class ServiceMetrics:
             self.executed += 1
             self.optimize_seconds += record.optimize_seconds
             self.execute_seconds += record.execute_seconds
+            self.wait_lock_seconds += record.wait_lock_seconds
+            self.wait_admission_seconds += record.wait_admission_seconds
             self.latency_histogram.observe(record.execute_seconds)
             if runtime is not None:
                 self.runtime.merge(runtime)
@@ -387,6 +395,8 @@ class ServiceMetrics:
             counter("slow_queries_total", "Queries admitted to the slow-query log.", self.slow_queries)
             counter("optimize_seconds_total", "Time spent optimizing.", self.optimize_seconds)
             counter("execute_seconds_total", "Time spent executing.", self.execute_seconds)
+            counter("wait_lock_seconds_total", "Time executed queries waited for the store lock.", self.wait_lock_seconds)
+            counter("wait_admission_seconds_total", "Time executed queries queued for admission slots.", self.wait_admission_seconds)
             counter("page_reads_total", "Physical page reads.", self.runtime.buffer.physical_reads)
             counter("predicate_evals_total", "Predicate evaluations.", self.runtime.predicate_evals)
             counter("fix_iterations_total", "Semi-naive fixpoint iterations.", self.runtime.fix_iterations)

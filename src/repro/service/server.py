@@ -518,9 +518,10 @@ class QueryService:
         # shard-worker thread names, exchange frames, dist log lines and
         # the live progress view all carry this id while the query runs.
         request_id = self._next_request_id()
-        query_cls = query_class(key[0])
+        query_cls = ""
         decision = FULL_DETAIL
         if self.governor is not None:
+            query_cls = query_class(key[0])
             decision = self.governor.decide(query_cls)
         profiler: Optional[PlanProfiler] = None
         tracer: Optional[Tracer] = None
@@ -547,10 +548,12 @@ class QueryService:
         # whichever dimension is wider — capped by the slot pool, and
         # the engine runs with exactly the granted widths.
         weight = max(requested, requested_shards)
+        admission_started = time.perf_counter()
         with self.admission.slot(weight=weight) as granted:
+            lock_started = time.perf_counter()
+            wait_admission_elapsed = lock_started - admission_started
             granted_parallelism = min(requested, granted)
             granted_shards = min(requested_shards, granted)
-            lock_started = time.perf_counter()
             with self._store_lock:
                 # The execute clock starts once the lock is held, so
                 # contention reads as lock wait, not as execution.
@@ -599,6 +602,7 @@ class QueryService:
             rows=len(execution.rows),
             request_id=request_id,
             wait_lock_seconds=wait_lock_elapsed,
+            wait_admission_seconds=wait_admission_elapsed,
             batch_size=engine.batch_size,
             batch_layout=engine.batch_layout,
             shards=granted_shards,
@@ -657,6 +661,7 @@ class QueryService:
             "optimize_ms": round(optimize_elapsed * 1000, 3),
             "execute_ms": round(execute_elapsed * 1000, 3),
             "wait_lock_ms": round(wait_lock_elapsed * 1000, 3),
+            "wait_admission_ms": round(wait_admission_elapsed * 1000, 3),
             "fix_iterations": execution.metrics.fix_iterations,
             "parallelism": granted_parallelism,
             "batch_size": engine.batch_size,

@@ -20,6 +20,7 @@ from repro.engine.batch import Batch, rebatch
 from repro.engine.context import ExecutionContext
 from repro.plans import EntityLeaf, Proj, Sel
 from repro.querygraph.builder import and_, const, eq, ge, le, out, path
+from repro.workloads import MusicConfig, generate_music_database
 from tests.test_engine import make_fix
 
 
@@ -151,6 +152,37 @@ class TestBatchMetering:
         engine = Engine(small_db.physical, batch_size=1)
         result = engine.execute(EntityLeaf("Composer", "x"))
         assert result.metrics.batches == len(result.rows)
+
+
+class TestScanTouchPoints:
+    """A scan cut into batches touches each page at the point of the
+    stream where a record-at-a-time scan would: a page is read only
+    when the batch being built needs its first record."""
+
+    def touches_per_batch(self, db, size):
+        buffer = db.physical.store.buffer
+        engine = Engine(db.physical, batch_size=size)
+        engine.execute(EntityLeaf("Composer", "x"))  # sets up the run state
+        seen = []
+        before = buffer.stats.logical_reads
+        for batch in engine._scan_batches("Composer", "x", "scan", None):
+            seen.append((len(batch), buffer.stats.logical_reads - before))
+        return seen
+
+    def test_pages_are_touched_lazily(self):
+        db = generate_music_database(
+            MusicConfig(lineages=3, generations=5, records_per_page=4, seed=42)
+        )
+        rpp = db.physical.store.extent("Composer").records_per_page
+        count = db.config.composer_count
+        assert count > 2 * rpp
+        for size in (1, 3, rpp, rpp + 1, 10_000):
+            seen = self.touches_per_batch(db, size)
+            emitted = 0
+            for length, touched in seen:
+                emitted += length
+                assert touched == math.ceil(emitted / rpp)
+            assert emitted == count
 
 
 class TestBatchSizeParity:

@@ -238,3 +238,87 @@ class TestValidation:
         for seconds in (0.004, 0.001, 0.002):
             history.observations.append(observation(seconds=seconds))
         assert history.median_latency() == pytest.approx(0.002)
+
+
+def warm_run(request_id, nodes=12):
+    """An observation as a warm unprofiled run produces it: fresh
+    dicts whose contents repeat run after run."""
+    return observation(
+        request_id=request_id,
+        events={f"event_{i}": float(i) for i in range(15)},
+        operators={f"n{i}": OperatorActual(rows=i) for i in range(nodes)},
+    )
+
+
+class TestSharedObservationParts:
+    def test_equal_runs_share_operators_and_events(self):
+        store = QueryTelemetryStore()
+        store.register_plan(SCAN, "fp1", 10.0)
+        first, second = warm_run("r1"), warm_run("r2")
+        store.record("fp1", first)
+        store.record("fp1", second)
+        assert second.operators is first.operators
+        assert second.events is first.events
+        changed = warm_run("r3", nodes=3)
+        store.record("fp1", changed)
+        assert changed.operators is not first.operators
+        assert changed.events is first.events
+
+    def test_reads_are_unchanged_by_sharing(self, tmp_path):
+        """Snapshot, misestimates, calibration samples and the JSONL
+        round trip agree with a reloaded store, which rebuilds every
+        observation from its own line and shares nothing."""
+        path = tmp_path / "telemetry.jsonl"
+        store = QueryTelemetryStore(persist_path=str(path))
+        store.register_plan(
+            SCAN,
+            "fp1",
+            10.0,
+            {"n1": OperatorEstimate("n1", "Sel", "Sel", est_rows=4.0)},
+        )
+        runs = [warm_run("r1"), warm_run("r2"), warm_run("r3", nodes=3)]
+        runs.append(warm_run("r4"))
+        for run in runs:
+            store.record("fp1", run)
+        store.close()
+        reloaded = QueryTelemetryStore(persist_path=str(path))
+        loaded = list(reloaded.plan("fp1").observations)
+        assert [o.to_dict() for o in loaded] == [o.to_dict() for o in runs]
+        assert reloaded.snapshot() == store.snapshot()
+        assert reloaded.calibration_samples() == store.calibration_samples()
+        assert (
+            reloaded.plan("fp1").operator_misestimates()
+            == store.plan("fp1").operator_misestimates()
+        )
+        reloaded.close()
+
+    def test_memory_does_not_grow_with_repeated_runs(self):
+        """Each further equal run retains only the observation itself,
+        not another copy of its per-node and per-event payload."""
+        import tracemalloc
+
+        store = QueryTelemetryStore(window=4096)
+        store.register_plan(SCAN, "fp1", 10.0)
+        store.record("fp1", warm_run("warm-up"))
+        runs = 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(runs):
+                store.record("fp1", warm_run(f"r{index}"))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store.plan("fp1").observations) == runs + 1
+        assert grown / runs < 600
+
+    def test_no_payload_is_built_without_a_sink(self, monkeypatch):
+        store = QueryTelemetryStore()
+        store.register_plan(SCAN, "fp1", 10.0)
+
+        def fail(self):
+            raise AssertionError("serialized without a persist sink")
+
+        monkeypatch.setattr(Observation, "to_dict", fail)
+        store.record("fp1", warm_run("r1"))
+        assert store.plan("fp1").total_runs == 1

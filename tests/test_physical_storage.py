@@ -167,3 +167,81 @@ class TestObjectStore:
             store.insert("E", {})
         store.insert("F", {})
         assert store.page_count() == 3  # two pages of E + one of F
+
+
+class TestPageIdTuple:
+    def test_hash_and_equality_follow_the_fields(self):
+        assert PageId("seg", 1) == PageId("seg", 1)
+        assert hash(PageId("seg", 1)) == hash(PageId("seg", 1))
+        assert PageId("seg", 1) != PageId("seg", 2)
+        assert len({PageId("seg", 1), PageId("seg", 1), PageId("other", 1)}) == 2
+        # A named tuple: equal to the plain tuple of its fields.
+        assert PageId("seg", 1) == ("seg", 1)
+
+    def test_order_is_segment_then_number(self):
+        ids = [PageId("b", 0), PageId("a", 10), PageId("a", 2)]
+        assert sorted(ids) == [PageId("a", 2), PageId("a", 10), PageId("b", 0)]
+
+    def test_fields_and_repr(self):
+        page_id = PageId("seg", 3)
+        assert (page_id.segment, page_id.number) == ("seg", 3)
+        assert repr(page_id) == "seg#3"
+
+
+class TestScanCache:
+    def make_store(self, records=5):
+        store = ObjectStore(BufferPool(16), records_per_page=2)
+        store.create_extent("E")
+        for i in range(records):
+            store.insert("E", {"i": i})
+        return store
+
+    def values(self, store):
+        return [record.values["i"] for record in store.scan("E")]
+
+    def test_repeated_scans_reuse_the_grouping(self):
+        store = self.make_store()
+        extent = store.extent("E")
+        assert extent.page_groups() is extent.page_groups()
+        assert self.values(store) == self.values(store) == [0, 1, 2, 3, 4]
+
+    def test_insert_after_a_scan_is_seen(self):
+        store = self.make_store()
+        assert self.values(store) == [0, 1, 2, 3, 4]
+        store.insert("E", {"i": 5})
+        assert self.values(store) == [0, 1, 2, 3, 4, 5]
+        before = store.buffer.stats.logical_reads
+        self.values(store)
+        assert store.buffer.stats.logical_reads - before == 3
+
+    def test_replace_segment_after_a_scan_is_seen(self):
+        store = self.make_store(records=4)
+        assert self.values(store) == [0, 1, 2, 3]
+        # Re-place the records in reverse order, one per page.
+        segment = PagedSegment("E.reversed", records_per_page=1)
+        for record in reversed(store.extent("E").records):
+            segment.append_record(int(record.oid))
+        store.replace_segment({"E": segment}, {})
+        assert self.values(store) == [3, 2, 1, 0]
+        before = store.buffer.stats.logical_reads
+        self.values(store)
+        assert store.buffer.stats.logical_reads - before == 4
+
+    def test_open_scan_keeps_its_snapshot(self):
+        store = self.make_store(records=4)
+        scan = store.scan("E")
+        first = next(scan)
+        store.insert("E", {"i": 4})
+        rest = list(scan)
+        assert [first.values["i"]] + [r.values["i"] for r in rest] == [0, 1, 2, 3]
+        assert self.values(store) == [0, 1, 2, 3, 4]
+
+    def test_scan_pages_touches_each_page_before_handing_it_out(self):
+        store = self.make_store()
+        before = store.buffer.stats.logical_reads
+        pages = store.scan_pages("E")
+        sizes = []
+        for page in pages:
+            sizes.append(len(page))
+            assert store.buffer.stats.logical_reads - before == len(sizes)
+        assert sizes == [2, 2, 1]

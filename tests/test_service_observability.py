@@ -5,6 +5,7 @@ metrics sidecar, and the CLI entry points."""
 import io
 import json
 import os
+import threading
 import time
 import urllib.request
 
@@ -341,3 +342,52 @@ class TestCli:
         finally:
             thread.join(timeout=10)
         assert "metrics on http://" in out.getvalue()
+
+
+class TestAdmissionWait:
+    def hold_the_only_slot(self, service, seconds):
+        """Occupy the single execution slot from another thread."""
+        held = threading.Event()
+
+        def hold():
+            with service.admission.slot():
+                held.set()
+                time.sleep(seconds)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        held.wait()
+        return thread
+
+    def test_admission_wait_is_metered_apart(self):
+        service = QueryService(
+            build_db(),
+            ServiceConfig(
+                max_concurrent=1,
+                slow_query_seconds=0.04,
+                misestimate_ratio=None,
+            ),
+        )
+        service.handle({"op": "query", "text": POINT})
+        thread = self.hold_the_only_slot(service, 0.06)
+        response = service.handle({"op": "query", "text": POINT})
+        thread.join()
+        assert response["wait_admission_ms"] >= 50
+        assert response["wait_lock_ms"] < 40
+        assert response["execute_ms"] < 40
+        recent = service.stats()["service"]["recent"][-1]
+        assert recent["wait_admission_ms"] == response["wait_admission_ms"]
+        # The slow-query log judges execution alone.
+        assert service.stats()["service"]["slow_queries"] == 0
+        text = service.handle({"op": "metrics"})["metrics"]
+        totals = {
+            line.split()[0]: float(line.split()[1])
+            for line in text.splitlines()
+            if line.startswith("repro_wait_")
+        }
+        assert totals["repro_wait_admission_seconds_total"] >= 0.05
+        assert 0 <= totals["repro_wait_lock_seconds_total"] < 0.04
+
+    def test_uncontended_admission_wait_is_small(self, service):
+        response = service.handle({"op": "query", "text": POINT})
+        assert 0 <= response["wait_admission_ms"] < 40
